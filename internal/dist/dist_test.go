@@ -575,3 +575,50 @@ func TestConcurrentScatterQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTruncateReachesShards: TRUNCATE through the coordinator must empty
+// the table on every shard, matching the single-node oracle, and later
+// inserts must keep replicating.
+func TestTruncateReachesShards(t *testing.T) {
+	coord, oracle, _ := cluster(t, 2)
+	const count = `SELECT COUNT(*) AS n, SUM(v) AS s FROM t`
+	execBoth(t, coord, oracle, `CREATE TABLE t (k VARCHAR, v INTEGER)`)
+	execBoth(t, coord, oracle, `INSERT INTO t VALUES ('a', 10), ('b', 20), ('c', 30), ('d', 40)`)
+	queryBoth(t, coord, oracle, count)
+	execBoth(t, coord, oracle, `TRUNCATE TABLE t`)
+	if res := queryBoth(t, coord, oracle, count); res.Rows[0][0].I != 0 || !res.Rows[0][1].Null {
+		t.Fatalf("after TRUNCATE: %v, want 0 and NULL", res.Rows[0])
+	}
+	execBoth(t, coord, oracle, `INSERT INTO t VALUES ('e', 5), ('f', 6)`)
+	queryBoth(t, coord, oracle, count)
+	queryBoth(t, coord, oracle, `SELECT k, v FROM t ORDER BY k`)
+}
+
+// TestCoordinatorRefusesSessionStatements: statements the coordinator
+// cannot distribute fail with a structured error instead of running on
+// its empty local mirror; EXPAND and plain EXPLAIN still answer there.
+func TestCoordinatorRefusesSessionStatements(t *testing.T) {
+	coord, oracle, _ := cluster(t, 2)
+	execBoth(t, coord, oracle, paperdata.All)
+	ctx := context.Background()
+	for _, sql := range []string{
+		`PREPARE p AS SELECT COUNT(*) FROM Orders`,
+		`EXECUTE p`,
+		`DEALLOCATE ALL`,
+		`KILL 1`,
+		`EXPLAIN ANALYZE SELECT COUNT(*) FROM Orders`,
+	} {
+		_, err := coord.Query(ctx, sql)
+		if !errors.Is(err, exec.CodeBind) || !strings.Contains(err.Error(), "not supported through the coordinator") {
+			t.Errorf("%s: got %v, want a structured not-supported error", sql, err)
+		}
+	}
+	for _, sql := range []string{
+		`EXPLAIN SELECT COUNT(*) FROM Orders`,
+		`EXPAND SELECT prodName, AGGREGATE(profitMargin) FROM EnhancedOrders GROUP BY prodName`,
+	} {
+		if _, err := coord.Query(ctx, sql); err != nil {
+			t.Errorf("%s: %v", sql, err)
+		}
+	}
+}

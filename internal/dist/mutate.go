@@ -1,9 +1,9 @@
 package dist
 
-// The mutation path: DDL broadcasts to every shard, INSERT partitions
-// rows by the partition column's hash, and both are recorded in a
-// per-shard replay log before any endpoint sees them. Replication to an
-// endpoint is a compare-and-swap on its catalog version — entry i
+// The mutation path: DDL and TRUNCATE broadcast to every shard, INSERT
+// partitions rows by the partition column's hash, and all are recorded
+// in a per-shard replay log before any endpoint sees them. Replication
+// to an endpoint is a compare-and-swap on its catalog version — entry i
 // applies only at version i — which makes application exactly-once even
 // across lost acks (a transport error is resolved by probing /catalog:
 // the entry landed iff the version advanced) and makes a restarted,
@@ -49,26 +49,84 @@ func runOne(ctx context.Context, db *msql.DB, sql string) (*msql.Result, error) 
 	return results[len(results)-1], nil
 }
 
-// exec applies one mutation statement: validate against the local
-// mirrors, log per shard, then push to every endpoint of every affected
-// shard. A shard counts as reached when at least one of its endpoints
-// acknowledged; shards with no reachable endpoint are reported in a
-// structured unavailability error, and the logged entry replays to them
-// on rejoin.
+// stmtRoute is how the coordinator handles one kind of statement.
+type stmtRoute int
+
+const (
+	// routeUnclassified is a statement kind the coordinator does not
+	// know; execStmt refuses it, and a test requires that every
+	// ast.Statement kind has a route.
+	routeUnclassified stmtRoute = iota
+	// routeQuery: a distributed read (routed, scatter or gather).
+	routeQuery
+	// routeCreateTable: CREATE TABLE, broadcast with the hidden
+	// ordering column added.
+	routeCreateTable
+	// routeBroadcast: a logged broadcast to every shard (CREATE VIEW,
+	// DROP, TRUNCATE), applied to the coordinator's mirrors first.
+	routeBroadcast
+	// routeInsert: rows partitioned by the partition column.
+	routeInsert
+	// routeLocal: answered by the coordinator's own session without
+	// reading data (EXPAND, and EXPLAIN without ANALYZE).
+	routeLocal
+	// routeRefused: statements whose effect or answer lives in a
+	// session the coordinator does not distribute (prepared statements,
+	// KILL) or that would profile the empty local mirror instead of the
+	// shards (EXPLAIN ANALYZE, EXPLAIN EXECUTE).
+	routeRefused
+)
+
+// routeOf classifies stmt. The switch is an allowlist: a statement kind
+// added to the parser without a case here is unclassified, and refused.
+func routeOf(stmt ast.Statement) stmtRoute {
+	switch s := stmt.(type) {
+	case *ast.QueryStmt:
+		return routeQuery
+	case *ast.CreateTable:
+		return routeCreateTable
+	case *ast.CreateView, *ast.Drop, *ast.Truncate:
+		return routeBroadcast
+	case *ast.Insert:
+		return routeInsert
+	case *ast.Expand:
+		return routeLocal
+	case *ast.Explain:
+		if s.Analyze || s.Execute != nil {
+			return routeRefused
+		}
+		return routeLocal
+	case *ast.Prepare, *ast.ExecuteStmt, *ast.Deallocate, *ast.Kill:
+		return routeRefused
+	default:
+		return routeUnclassified
+	}
+}
+
+// execStmt applies one non-query statement. Mutations are validated
+// against the local mirrors, logged per shard, then pushed to every
+// endpoint of every affected shard. A shard counts as reached when at
+// least one of its endpoints acknowledged; shards with no reachable
+// endpoint are reported in a structured unavailability error, and the
+// logged entry replays to them on rejoin.
 func (c *Coordinator) execStmt(ctx context.Context, stmt ast.Statement, reqID string) (*msql.Result, error) {
+	route := routeOf(stmt)
+	switch route {
+	case routeLocal:
+		return runOne(ctx, c.local, ast.FormatStatement(stmt))
+	case routeCreateTable, routeBroadcast, routeInsert:
+	default:
+		return nil, bindErr("not supported through the coordinator: %.60s", ast.FormatStatement(stmt))
+	}
 	c.mutMu.Lock()
 	defer c.mutMu.Unlock()
-	switch s := stmt.(type) {
-	case *ast.CreateTable:
-		return c.execCreateTable(ctx, s, reqID)
-	case *ast.CreateView, *ast.Drop:
-		return c.execSchemaChange(ctx, stmt, reqID)
-	case *ast.Insert:
-		return c.execInsert(ctx, s, reqID)
+	switch route {
+	case routeCreateTable:
+		return c.execCreateTable(ctx, stmt.(*ast.CreateTable), reqID)
+	case routeBroadcast:
+		return c.execBroadcast(ctx, stmt, reqID)
 	default:
-		// Session statements (SET, KILL, PREPARE, ...) act on the
-		// coordinator's own session.
-		return runOne(ctx, c.local, ast.FormatStatement(stmt))
+		return c.execInsert(ctx, stmt.(*ast.Insert), reqID)
 	}
 }
 
@@ -119,7 +177,11 @@ func (c *Coordinator) execCreateTable(ctx context.Context, s *ast.CreateTable, r
 	return res, c.broadcast(ctx, mutation{sql: shardSQL}, reqID)
 }
 
-func (c *Coordinator) execSchemaChange(ctx context.Context, stmt ast.Statement, reqID string) (*msql.Result, error) {
+// execBroadcast applies a statement to both mirrors, then logs and
+// broadcasts it. Schema changes also join the DDL list the gather path
+// replays into its scratch session; a TRUNCATE does not, since gather
+// rebuilds each table from the rows the shards hold now.
+func (c *Coordinator) execBroadcast(ctx context.Context, stmt ast.Statement, reqID string) (*msql.Result, error) {
 	sql := ast.FormatStatement(stmt)
 	res, err := runOne(ctx, c.local, sql)
 	if err != nil {
@@ -139,9 +201,11 @@ func (c *Coordinator) execSchemaChange(ctx context.Context, stmt ast.Statement, 
 		delete(c.tables, lower(d.Name))
 		c.mu.Unlock()
 	}
-	c.mu.Lock()
-	c.ddl = append(c.ddl, sql)
-	c.mu.Unlock()
+	if _, ok := stmt.(*ast.Truncate); !ok {
+		c.mu.Lock()
+		c.ddl = append(c.ddl, sql)
+		c.mu.Unlock()
+	}
 	return res, c.broadcast(ctx, mutation{sql: sql}, reqID)
 }
 
@@ -277,8 +341,8 @@ func coerceValue(v sqltypes.Value, kind sqltypes.Kind) (sqltypes.Value, error) {
 		kind == sqltypes.KindDate && v.K == sqltypes.KindString:
 		return sqltypes.Cast(v, kind)
 	case kind == sqltypes.KindInt && v.K == sqltypes.KindFloat:
-		if v.F == float64(int64(v.F)) {
-			return sqltypes.NewInt(int64(v.F)), nil
+		if v.Float() == float64(int64(v.Float())) {
+			return sqltypes.NewInt(int64(v.Float())), nil
 		}
 		return sqltypes.Value{}, fmt.Errorf("cannot insert non-integral %v into INTEGER column", v)
 	default:

@@ -48,8 +48,8 @@ func (c *Coordinator) RunWithRequestID(ctx context.Context, sql, reqID string) (
 	var out []*msql.Result
 	for _, stmt := range stmts {
 		var res *msql.Result
-		if qs, ok := stmt.(*ast.QueryStmt); ok {
-			res, err = c.queryText(ctx, ast.FormatQuery(qs.Query), reqID)
+		if routeOf(stmt) == routeQuery {
+			res, err = c.queryText(ctx, ast.FormatQuery(stmt.(*ast.QueryStmt).Query), reqID)
 		} else {
 			res, err = c.execStmt(ctx, stmt, reqID)
 		}

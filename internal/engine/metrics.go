@@ -372,8 +372,8 @@ func (s MetricsSnapshot) Prometheus() string {
 	counter("msql_subquery_cache_hits_total", "Subquery evaluations served from the memo cache.", s.CacheHits)
 	counter("msql_parallel_fanouts_total", "Operator executions that fanned out to multiple workers.", s.ParallelFanouts)
 	counter("msql_vec_batches_total", "Columnar batches processed by the vectorized engine.", s.VecBatches)
-	counter("msql_vec_kernel_rows_total", "Expression evaluations done by batch kernels.", s.VecKernelRows)
-	counter("msql_vec_fallback_rows_total", "Rows the vectorized engine handed back to the row evaluator.", s.VecFallbackRows)
+	counter("msql_vec_kernel_rows_total", "Rows expression nodes processed in typed loops over unboxed columns.", s.VecKernelRows)
+	counter("msql_vec_fallback_rows_total", "Rows expression nodes processed one boxed value at a time (row evaluator, CAST, boxed loops).", s.VecFallbackRows)
 	fmt.Fprintf(&sb, "# HELP msql_cache_hit_ratio Fraction of subquery evaluations served from cache.\n# TYPE msql_cache_hit_ratio gauge\nmsql_cache_hit_ratio %g\n", s.CacheHitRatio)
 	histogram := func(name, help string, h exec.HistogramSnapshot) {
 		fmt.Fprintf(&sb, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)

@@ -165,7 +165,7 @@ func (rt *runtime) runAggregate(n *plan.Aggregate) ([]Row, error) {
 	// defeats batching.
 	accum := (*runtime).accumulateRows
 	if rt.vecUsable(env.exprs()...) && env.vecAggOK() {
-		vea := rt.pipelineAgg(env, n.Input.Schema())
+		vea := rt.sh.pipe.aggExprs(env, n.Input.Schema())
 		accum = func(w *runtime, env *aggEnv, tables []setTable, in []Row, lo, hi int) error {
 			return w.accumulateRowsVec(env, vea, tables, in, lo, hi)
 		}

@@ -40,10 +40,15 @@ type Stats struct {
 	// operators (zero when Settings.Vectorized is off or nothing
 	// vectorized).
 	VecBatches int64
-	// VecKernelRows counts expression-node evaluations done by batch
-	// kernels and columnar operators; VecFallbackRows counts the rows a
-	// vectorized operator handed back to the row-at-a-time evaluator
-	// (subqueries, CASE, anything without a kernel).
+	// VecKernelRows counts typed work: for each expression node that
+	// ran a typed loop over unboxed columns (a batch kernel, or typed
+	// AND/OR/NOT/IS [NOT] NULL/IS [NOT] DISTINCT), its selected rows.
+	// VecFallbackRows counts boxed work: the selected rows of every node
+	// that went one sqltypes.Value at a time — the row evaluator for
+	// expressions with no columnar form (subqueries, CASE, IN), CAST,
+	// and the boxed loops a kernel or boolean node takes when its inputs
+	// come back boxed or of another kind. Leaves (columns, literals,
+	// parameters, correlated references) count toward neither.
 	VecKernelRows   int64
 	VecFallbackRows int64
 	// RollupHits counts Aggregate nodes answered from the materialized
@@ -113,10 +118,11 @@ type Settings struct {
 	// duration of one execution.
 	Params []sqltypes.Value
 	// Pipeline, when non-nil, carries compiled vectorized expression
-	// trees and pooled batch scratch reused across executions of a
-	// cached plan. It must only be set for executions of the exact
-	// plan.Node the pipeline was built for (compiled trees are keyed by
-	// node identity).
+	// trees, shared scan columns and pooled batch scratch reused across
+	// executions of a cached plan. It must only be set for executions of
+	// the exact plan.Node the pipeline was built for (compiled trees are
+	// keyed by node identity). When nil, a vectorized execution gets a
+	// statement-scoped pipeline of its own.
 	Pipeline *Pipeline
 	// Rollups, when non-nil, is consulted before every Aggregate
 	// execution; eligible nodes are answered from materialized rollup
@@ -142,8 +148,12 @@ type shared struct {
 	// checks it at amortized per-row checkpoints.
 	ctx context.Context
 	// bud is the statement's resource-consumption ledger.
-	bud    *budget
-	memo   *memoCache
+	bud  *budget
+	memo *memoCache
+	// pipe holds the vectorized artifacts: settings.Pipeline, or a
+	// statement-scoped pipeline when that is nil. Nil only when the
+	// statement is not vectorized.
+	pipe   *Pipeline
 	depsMu sync.RWMutex
 	deps   map[*plan.Subquery][]corrDep
 }
@@ -162,6 +172,9 @@ type runtime struct {
 	// steps counts rows processed since the last cancellation check;
 	// tick amortizes the context poll over cancelCheckRows rows.
 	steps int
+	// consts holds each vecConst's last broadcast column on this
+	// goroutine, created on first use.
+	consts map[*vecConst]constCol
 }
 
 // cancelCheckRows is the amortization interval of the cooperative
@@ -200,6 +213,10 @@ type inSet struct {
 }
 
 func newRuntime(ctx context.Context, settings *Settings) *runtime {
+	pipe := settings.Pipeline
+	if pipe == nil && settings.Vectorized {
+		pipe = newPipeline()
+	}
 	return &runtime{
 		sh: &shared{
 			settings: settings,
@@ -207,6 +224,7 @@ func newRuntime(ctx context.Context, settings *Settings) *runtime {
 			ctx:      ctx,
 			bud:      &budget{limits: settings.Limits},
 			memo:     newMemoCache(),
+			pipe:     pipe,
 			deps:     map[*plan.Subquery][]corrDep{},
 		},
 		workers: resolveWorkers(settings.Workers),

@@ -339,7 +339,7 @@ func TestAggStateMerge(t *testing.T) {
 	if err := first.Merge(second); err != nil {
 		t.Fatal(err)
 	}
-	got, want := first.Result().F, single.Result().F
+	got, want := first.Result().Float(), single.Result().Float()
 	if math.Abs(got-want) > 1e-9*math.Abs(want) {
 		t.Errorf("VAR_SAMP: merged %v, single-pass %v", got, want)
 	}

@@ -8,82 +8,93 @@ import (
 	"github.com/measures-sql/msql/internal/vec"
 )
 
-// Pipeline carries the reusable compiled artifacts of one cached plan:
-// vectorized expression trees keyed by plan-node identity (node pointers
-// are stable for a plan held in a plan cache) plus pooled batch and
-// aggregate scratch. Compiled vecExpr trees are stateless and shared
-// across worker goroutines, so a single Pipeline may serve concurrent
-// executions of its plan; the maps are filled lazily under a lock on
-// first execution and read-mostly afterwards.
+// Pipeline carries the reusable compiled artifacts of vectorized
+// execution: expression trees keyed by plan-node identity, base-table
+// scan columns, and (for a reused pipeline) pooled batch and aggregate
+// scratch. Compiled vecExpr trees are stateless and shared across worker
+// goroutines, so a single Pipeline may serve concurrent executions of
+// its plan; the maps are filled lazily under a lock on first use and
+// read-mostly afterwards.
+//
+// Every vectorized execution runs with one. The plan cache keeps a
+// reused pipeline per cached plan (NewPipeline), so repeated executions
+// skip compilation and scan transposition. Otherwise RunContext attaches
+// a statement-scoped one, so the correlated re-evaluations of one
+// statement — every measure-context subquery — compile once and
+// transpose each scan once.
 type Pipeline struct {
 	mu       sync.RWMutex
 	filters  map[*plan.Filter]vecExpr
 	projects map[*plan.Project][]vecExpr
 	aggs     map[*plan.Aggregate]*vecAggExprs
-	shares   map[plan.Node]*colShare
+	share    *colShare
 
+	// reused is set for a pipeline that outlives one execution. Only it
+	// pools scratch: a sync.Pool's victim cache would keep a
+	// statement's batches, and the columns they reference, alive
+	// through a GC after the statement ended. And only it shares the
+	// columns of scans outside subqueries; a statement runs those once.
+	reused  bool
 	batches sync.Pool // *vecBatch
 	scratch sync.Pool // *aggScratch
 }
 
-// NewPipeline returns an empty pipeline for one plan.
+// NewPipeline returns an empty pipeline for a plan that will be
+// executed repeatedly, such as a plan-cache entry.
 func NewPipeline() *Pipeline {
+	p := newPipeline()
+	p.reused = true
+	return p
+}
+
+// newPipeline returns an empty statement-scoped pipeline.
+func newPipeline() *Pipeline {
 	return &Pipeline{
 		filters:  map[*plan.Filter]vecExpr{},
 		projects: map[*plan.Project][]vecExpr{},
 		aggs:     map[*plan.Aggregate]*vecAggExprs{},
-		shares:   map[plan.Node]*colShare{},
+		share:    &colShare{cols: map[colKey]*vec.Col{}},
 	}
 }
 
-// colShare caches columnarized base-table batches across executions of
-// a cached plan. An operator reading directly from a Scan sees the same
-// rows at the same offsets every execution — the plan cache drops the
-// entry (and this share with it) on any catalog-version bump — so the
-// row→column conversion, the dominant per-batch cost, can be done once.
-// Cached columns are read-only by the same contract that lets compiled
-// vecExpr trees be shared across worker goroutines.
+// colShare caches columnarized base-table batches across executions,
+// so the row→column conversion, the dominant per-batch cost, is done
+// once per batch of scan rows rather than once per scan. A column is
+// keyed by the address of its batch's first slot in the scan output's
+// backing array — the key keeps that array alive, so the address cannot
+// be reused — plus the batch length and column kind. Every scan of an
+// unchanged table returns the same array, so the scans of all the
+// subqueries of a statement share; a table that changed since (its
+// slots are never rewritten, and an append past capacity or a TRUNCATE
+// moves it to a new array) or a virtual table that produced fresh rows
+// rebuilds. Cached columns are read-only by the same contract that lets
+// compiled vecExpr trees be shared across worker goroutines.
 type colShare struct {
 	mu   sync.Mutex
 	cols map[colKey]*vec.Col
 }
 
-// colKey addresses one cached column: the batch's row offset within the
-// scan output plus the column index.
-type colKey struct{ off, idx int }
+// colKey addresses one cached column: the batch's first scan-output
+// slot plus the column index.
+type colKey struct {
+	slot *Row
+	idx  int
+}
 
-func (s *colShare) get(off, idx, n int) *vec.Col {
+func (s *colShare) get(rows []Row, idx int, kind sqltypes.Kind) *vec.Col {
 	s.mu.Lock()
-	c := s.cols[colKey{off, idx}]
+	c := s.cols[colKey{&rows[0], idx}]
 	s.mu.Unlock()
-	if c != nil && c.Len() == n {
+	if c != nil && c.Len() == len(rows) && c.Kind == kind {
 		return c
 	}
 	return nil
 }
 
-func (s *colShare) put(off, idx int, c *vec.Col) {
+func (s *colShare) put(rows []Row, idx int, c *vec.Col) {
 	s.mu.Lock()
-	s.cols[colKey{off, idx}] = c
+	s.cols[colKey{&rows[0], idx}] = c
 	s.mu.Unlock()
-}
-
-// shareFor returns the column share for one scan node, creating it on
-// first use.
-func (p *Pipeline) shareFor(n plan.Node) *colShare {
-	p.mu.RLock()
-	s := p.shares[n]
-	p.mu.RUnlock()
-	if s != nil {
-		return s
-	}
-	p.mu.Lock()
-	if s = p.shares[n]; s == nil {
-		s = &colShare{cols: map[colKey]*vec.Col{}}
-		p.shares[n] = s
-	}
-	p.mu.Unlock()
-	return s
 }
 
 func (p *Pipeline) filterExpr(n *plan.Filter, width int) vecExpr {
@@ -131,80 +142,37 @@ func (p *Pipeline) aggExprs(env *aggEnv, inSchema *plan.Schema) *vecAggExprs {
 	return vea
 }
 
-func (p *Pipeline) getBatch(rows []Row, kinds []sqltypes.Kind) *vecBatch {
-	if vb, _ := p.batches.Get().(*vecBatch); vb != nil && cap(vb.cols) >= len(kinds) {
+// getBatch returns a batch view of rows, pooled when the pipeline is
+// reused. When the rows come straight from a base-table Scan whose
+// columns the pipeline shares (see Pipeline.reused), the batch reads
+// and on first use fills the shared columns.
+func (rt *runtime) getBatch(input plan.Node, rows []Row, kinds []sqltypes.Kind) *vecBatch {
+	p := rt.sh.pipe
+	var vb *vecBatch
+	if p.reused {
+		vb, _ = p.batches.Get().(*vecBatch)
+	}
+	if vb == nil || cap(vb.cols) < len(kinds) {
+		vb = newVecBatch(rows, kinds)
+	} else {
 		vb.rows, vb.kinds = rows, kinds
 		vb.cols = vb.cols[:len(kinds)]
 		for i := range vb.cols {
 			vb.cols[i] = nil
 		}
 		vb.kernelRows, vb.fallbackRows = 0, 0
-		return vb
 	}
-	return newVecBatch(rows, kinds)
-}
-
-func (p *Pipeline) putBatch(vb *vecBatch) {
-	vb.rows = nil
-	vb.share, vb.off = nil, 0
-	p.batches.Put(vb)
-}
-
-// getBatch/putBatch on the runtime route through the pipeline's pool
-// when one is attached; otherwise batches are allocated per use, which
-// is the one-shot (uncached) execution path.
-func (rt *runtime) getBatch(rows []Row, kinds []sqltypes.Kind) *vecBatch {
-	if p := rt.sh.settings.Pipeline; p != nil {
-		return p.getBatch(rows, kinds)
-	}
-	return newVecBatch(rows, kinds)
-}
-
-// getBatchShared is getBatch plus column sharing: when a pipeline is
-// attached and the operator's input is a base-table Scan, the batch
-// reuses (and on first execution fills) the pipeline's cached columns
-// for the scan rows at this offset.
-func (rt *runtime) getBatchShared(input plan.Node, off int, rows []Row, kinds []sqltypes.Kind) *vecBatch {
-	vb := rt.getBatch(rows, kinds)
-	if p := rt.sh.settings.Pipeline; p != nil {
-		if _, ok := input.(*plan.Scan); ok {
-			vb.share, vb.off = p.shareFor(input), off
-		}
+	if _, ok := input.(*plan.Scan); ok && (p.reused || len(rt.outer) > 0) {
+		vb.share = p.share
 	}
 	return vb
 }
 
 func (rt *runtime) putBatch(vb *vecBatch) {
-	if p := rt.sh.settings.Pipeline; p != nil {
-		p.putBatch(vb)
+	if p := rt.sh.pipe; p.reused {
+		vb.rows, vb.share = nil, nil
+		p.batches.Put(vb)
 	}
-}
-
-// pipelineFilter and friends return cached compiled trees when a
-// pipeline is attached, compiling fresh otherwise.
-func (rt *runtime) pipelineFilter(n *plan.Filter, width int) vecExpr {
-	if p := rt.sh.settings.Pipeline; p != nil {
-		return p.filterExpr(n, width)
-	}
-	return vecCompile(n.Pred, width)
-}
-
-func (rt *runtime) pipelineProject(n *plan.Project, width int) []vecExpr {
-	if p := rt.sh.settings.Pipeline; p != nil {
-		return p.projectExprs(n, width)
-	}
-	ves := make([]vecExpr, len(n.Exprs))
-	for j, ne := range n.Exprs {
-		ves[j] = vecCompile(ne.Expr, width)
-	}
-	return ves
-}
-
-func (rt *runtime) pipelineAgg(env *aggEnv, inSchema *plan.Schema) *vecAggExprs {
-	if p := rt.sh.settings.Pipeline; p != nil {
-		return p.aggExprs(env, inSchema)
-	}
-	return compileVecAgg(env, inSchema)
 }
 
 // aggScratch is the per-accumulate-call scratch of the vectorized
@@ -247,7 +215,7 @@ func (s *aggScratch) shapeMatches(n *plan.Aggregate) bool {
 }
 
 func (rt *runtime) getAggScratch(n *plan.Aggregate) *aggScratch {
-	if p := rt.sh.settings.Pipeline; p != nil {
+	if p := rt.sh.pipe; p.reused {
 		if s, _ := p.scratch.Get().(*aggScratch); s != nil && s.shapeMatches(n) {
 			return s
 		}
@@ -256,7 +224,7 @@ func (rt *runtime) getAggScratch(n *plan.Aggregate) *aggScratch {
 }
 
 func (rt *runtime) putAggScratch(s *aggScratch) {
-	if p := rt.sh.settings.Pipeline; p != nil {
+	if p := rt.sh.pipe; p.reused {
 		for i := range s.groupCols {
 			s.groupCols[i] = nil
 		}

@@ -12,10 +12,12 @@ import (
 
 // Vectorized execution. Filter, Project, and Aggregate process their
 // input in vec.BatchRows-row batches: each expression compiles once into
-// a small tree of vecExpr nodes, where a node is either a typed batch
-// kernel (comparisons, arithmetic, AND/OR, CAST, ...) or a per-row
+// a small tree of vecExpr nodes, where a node is a typed batch loop
+// (kernels, AND/OR/NOT, IS [NOT] NULL, IS [NOT] DISTINCT FROM, each with
+// a boxed loop for boxed inputs), a broadcast of a per-batch constant
+// (literals, parameters, correlated references), CAST, or a per-row
 // fallback that calls the ordinary row evaluator for the selected rows
-// (subqueries, CASE, IN, volatile-free expressions without a kernel).
+// (subqueries, CASE, IN, functions without a kernel).
 // The row engine is the oracle: every path below must produce
 // bit-identical values — including the Kind of NULLs — and must never
 // raise an error the row engine would not. The two deliberate exceptions
@@ -23,9 +25,10 @@ import (
 // and the aggregate path: evaluating column-at-a-time can surface a
 // different row's error first.
 
-// vecExpr is one compiled node. eval returns a fresh column with results
-// at the selected indices; the compiled tree is shared across worker
-// goroutines and holds no mutable state.
+// vecExpr is one compiled node. eval returns a column with results at
+// the selected indices, which callers only read (it may be a shared scan
+// column or a reused broadcast); the compiled tree is shared across
+// worker goroutines and holds no mutable state.
 type vecExpr interface {
 	eval(rt *runtime, vb *vecBatch, sel []int) (*vec.Col, error)
 }
@@ -38,11 +41,9 @@ type vecBatch struct {
 	kinds []sqltypes.Kind
 	cols  []*vec.Col
 
-	// share, when set, caches built columns across executions of a
-	// cached plan (the operator reads straight from a base-table Scan);
-	// off is this batch's row offset within the scan output.
+	// share, when set, caches built columns across scans: the
+	// operator reads straight from a base-table Scan.
 	share *colShare
-	off   int
 
 	kernelRows   int64
 	fallbackRows int64
@@ -57,7 +58,7 @@ func (vb *vecBatch) col(idx int) *vec.Col {
 		return c
 	}
 	if vb.share != nil {
-		if c := vb.share.get(vb.off, idx, len(vb.rows)); c != nil {
+		if c := vb.share.get(vb.rows, idx, vb.kinds[idx]); c != nil {
 			vb.cols[idx] = c
 			return c
 		}
@@ -65,7 +66,7 @@ func (vb *vecBatch) col(idx int) *vec.Col {
 	c := vec.BuildCol(vb.rows, idx, vb.kinds[idx])
 	vb.cols[idx] = c
 	if vb.share != nil {
-		vb.share.put(vb.off, idx, c)
+		vb.share.put(vb.rows, idx, c)
 	}
 	return c
 }
@@ -139,9 +140,11 @@ func vecCompile(e plan.Expr, width int) vecExpr {
 		}
 		return &vecColRef{idx: e.Index}
 	case *plan.Lit:
-		return &vecLit{val: e.Val}
+		return &vecConst{e: e, kind: e.Val.K}
 	case *plan.Param:
-		return &vecParam{idx: e.Index, kind: e.Typ.Kind}
+		return &vecConst{e: e, kind: e.Typ.Kind}
+	case *plan.CorrRef:
+		return &vecConst{e: e, kind: e.Typ.Kind}
 	case *plan.Call:
 		kinds := make([]sqltypes.Kind, len(e.Args))
 		for i, a := range e.Args {
@@ -177,8 +180,8 @@ func vecCompile(e plan.Expr, width int) vecExpr {
 	case *plan.Cast:
 		return &vecCast{x: vecCompile(e.X, width), kind: e.Kind}
 	default:
-		// CASE and IN short-circuit per row; subqueries, correlated and
-		// aggregate refs need row context. All stay on the row path.
+		// CASE and IN short-circuit per row; subqueries and aggregate
+		// refs need row context. All stay on the row path.
 		return &vecFallback{e: e, typ: e.Type().Kind}
 	}
 }
@@ -190,47 +193,60 @@ func (v *vecColRef) eval(rt *runtime, vb *vecBatch, sel []int) (*vec.Col, error)
 	return vb.col(v.idx), nil
 }
 
-// vecLit broadcasts a literal.
-type vecLit struct{ val sqltypes.Value }
-
-func (v *vecLit) eval(rt *runtime, vb *vecBatch, sel []int) (*vec.Col, error) {
-	c := vec.NewCol(v.val.K, len(vb.rows))
-	for _, i := range sel {
-		c.Set(i, v.val)
-	}
-	return c, nil
-}
-
-// vecParam broadcasts a prepared-statement parameter. The value is read
-// from the execution's Settings at eval time, so a compiled tree cached
-// in a Pipeline stays valid across executions with different arguments.
-type vecParam struct {
-	idx  int
+// vecConst broadcasts an expression that is constant for the whole
+// batch: a literal, a prepared-statement parameter, or a correlated
+// reference (the outer frame is fixed while a subquery plan runs). It
+// evaluates through the row evaluator once per batch, and only when the
+// selection is non-empty, so it raises an error exactly when the row
+// engine, which evaluates it per selected row, would. Parameters are
+// read at eval time, so a compiled tree cached in a Pipeline stays
+// valid across executions with different arguments.
+type vecConst struct {
+	e    plan.Expr
 	kind sqltypes.Kind
 }
 
-func (v *vecParam) eval(rt *runtime, vb *vecBatch, sel []int) (*vec.Col, error) {
-	ps := rt.sh.settings.Params
-	if v.idx < 0 || v.idx >= len(ps) {
-		return nil, fmt.Errorf("parameter $%d not bound (%d provided)", v.idx+1, len(ps))
+// constCol is the last column a vecConst broadcast on one runtime.
+// Columns an expression returns are read-only to their consumers, so
+// the next batch of the same length and value reuses it (Values compare
+// bit for bit, so -0 and +0 stay apart).
+type constCol struct {
+	val sqltypes.Value
+	col *vec.Col
+}
+
+func (v *vecConst) eval(rt *runtime, vb *vecBatch, sel []int) (*vec.Col, error) {
+	n := len(vb.rows)
+	if len(sel) == 0 {
+		return vec.NewCol(v.kind, n), nil
 	}
-	c := vec.NewCol(v.kind, len(vb.rows))
-	for _, i := range sel {
-		c.Set(i, ps[v.idx])
+	val, err := rt.eval(v.e, nil)
+	if err != nil {
+		return nil, err
 	}
+	if last, ok := rt.consts[v]; ok && last.col.Len() == n && last.val == val {
+		return last.col, nil
+	}
+	c := vec.NewCol(v.kind, n)
+	c.Fill(batchIota[:n], val)
+	if rt.consts == nil {
+		rt.consts = map[*vecConst]constCol{}
+	}
+	rt.consts[v] = constCol{val: val, col: c}
 	return c, nil
 }
 
 // vecKernel evaluates a scalar call. When the argument columns come back
 // typed with the registered kinds it runs the batch kernel; otherwise it
 // degrades to a boxed element-wise loop over the same scalar, which is
-// still batch-shaped (no tree walk per row). Note the one semantic
-// wrinkle: a kernel scans its selection in order, so when several rows
-// would error (e.g. two overflows) the *first selected* row's error
-// surfaces — the row engine surfaces the first row's error too, but an
-// enclosing AND/OR evaluated column-major may reach this node with a
-// different selection order across expressions. The differential harness
-// therefore compares error presence, not messages.
+// still batch-shaped (no tree walk per row) but counts as fallback. Note
+// the one semantic wrinkle: a kernel scans its selection in order, so
+// when several rows would error (e.g. two overflows) the *first
+// selected* row's error surfaces — the row engine surfaces the first
+// row's error too, but an enclosing AND/OR evaluated column-major may
+// reach this node with a different selection order across expressions.
+// The differential harness therefore compares error presence, not
+// messages.
 type vecKernel struct {
 	name     string
 	pos      int
@@ -293,7 +309,7 @@ func (v *vecKernel) eval(rt *runtime, vb *vecBatch, sel []int) (*vec.Col, error)
 		}
 		out.Set(i, res)
 	}
-	vb.kernelRows += int64(len(sel))
+	vb.fallbackRows += int64(len(sel))
 	return out, nil
 }
 
@@ -311,7 +327,7 @@ func (v *vecAnd) eval(rt *runtime, vb *vecBatch, sel []int) (*vec.Col, error) {
 	}
 	sel2 := make([]int, 0, len(sel))
 	for _, i := range sel {
-		if !lc.Value(i).IsFalse() {
+		if !lc.False(i) {
 			sel2 = append(sel2, i)
 		}
 	}
@@ -322,6 +338,20 @@ func (v *vecAnd) eval(rt *runtime, vb *vecBatch, sel []int) (*vec.Col, error) {
 		}
 	}
 	out := vec.NewCol(sqltypes.KindBool, len(vb.rows))
+	if boolTyped(lc, rc) {
+		// Rows FALSE on the left stay FALSE: B is zeroed, Nulls clear.
+		for _, i := range sel2 {
+			switch {
+			case rc.False(i):
+			case lc.Nulls.Get(i) || rc.Nulls.Get(i):
+				out.Nulls.Set(i)
+			default:
+				out.B[i] = true
+			}
+		}
+		vb.kernelRows += int64(len(sel))
+		return out, nil
+	}
 	for _, i := range sel {
 		lv := lc.Value(i)
 		if lv.IsFalse() {
@@ -330,7 +360,7 @@ func (v *vecAnd) eval(rt *runtime, vb *vecBatch, sel []int) (*vec.Col, error) {
 		}
 		out.Set(i, sqltypes.And(lv, rc.Value(i)))
 	}
-	vb.kernelRows += int64(len(sel))
+	vb.fallbackRows += int64(len(sel))
 	return out, nil
 }
 
@@ -344,7 +374,7 @@ func (v *vecOr) eval(rt *runtime, vb *vecBatch, sel []int) (*vec.Col, error) {
 	}
 	sel2 := make([]int, 0, len(sel))
 	for _, i := range sel {
-		if !lc.Value(i).IsTrue() {
+		if !lc.True(i) {
 			sel2 = append(sel2, i)
 		}
 	}
@@ -355,6 +385,18 @@ func (v *vecOr) eval(rt *runtime, vb *vecBatch, sel []int) (*vec.Col, error) {
 		}
 	}
 	out := vec.NewCol(sqltypes.KindBool, len(vb.rows))
+	if boolTyped(lc, rc) {
+		for _, i := range sel {
+			switch {
+			case lc.True(i) || rc.True(i):
+				out.B[i] = true
+			case lc.Nulls.Get(i) || rc.Nulls.Get(i):
+				out.Nulls.Set(i)
+			}
+		}
+		vb.kernelRows += int64(len(sel))
+		return out, nil
+	}
 	for _, i := range sel {
 		lv := lc.Value(i)
 		if lv.IsTrue() {
@@ -363,8 +405,15 @@ func (v *vecOr) eval(rt *runtime, vb *vecBatch, sel []int) (*vec.Col, error) {
 		}
 		out.Set(i, sqltypes.Or(lv, rc.Value(i)))
 	}
-	vb.kernelRows += int64(len(sel))
+	vb.fallbackRows += int64(len(sel))
 	return out, nil
+}
+
+// boolTyped reports whether AND/OR may combine its operands with the
+// typed loop: the left column, and the right one when the right side ran
+// at all, hold unboxed BOOLEANs.
+func boolTyped(lc, rc *vec.Col) bool {
+	return lc.Typed(sqltypes.KindBool) && (rc == nil || rc.Typed(sqltypes.KindBool))
 }
 
 type vecNot struct{ x vecExpr }
@@ -375,13 +424,26 @@ func (v *vecNot) eval(rt *runtime, vb *vecBatch, sel []int) (*vec.Col, error) {
 		return nil, err
 	}
 	out := vec.NewCol(sqltypes.KindBool, len(vb.rows))
+	if xc.Typed(sqltypes.KindBool) {
+		for _, i := range sel {
+			if xc.Nulls.Get(i) {
+				out.Nulls.Set(i)
+			} else {
+				out.B[i] = !xc.B[i]
+			}
+		}
+		vb.kernelRows += int64(len(sel))
+		return out, nil
+	}
 	for _, i := range sel {
 		out.Set(i, sqltypes.Not(xc.Value(i)))
 	}
-	vb.kernelRows += int64(len(sel))
+	vb.fallbackRows += int64(len(sel))
 	return out, nil
 }
 
+// vecIsNull reads only NULL-ness, which both column representations
+// answer without boxing, so it has no boxed loop.
 type vecIsNull struct {
 	x   vecExpr
 	neg bool
@@ -394,12 +456,16 @@ func (v *vecIsNull) eval(rt *runtime, vb *vecBatch, sel []int) (*vec.Col, error)
 	}
 	out := vec.NewCol(sqltypes.KindBool, len(vb.rows))
 	for _, i := range sel {
-		out.Set(i, sqltypes.NewBool(xc.Null(i) != v.neg))
+		out.B[i] = xc.Null(i) != v.neg
 	}
 	vb.kernelRows += int64(len(sel))
 	return out, nil
 }
 
+// vecIsDistinct is IS [NOT] DISTINCT FROM; neg is set for IS NOT
+// DISTINCT FROM. Unboxed operands of one kind compare in a typed loop
+// with sqltypes.NotDistinct's semantics; anything else (boxed columns,
+// mixed INT/DOUBLE) goes through NotDistinct itself.
 type vecIsDistinct struct {
 	l, r vecExpr
 	neg  bool
@@ -415,16 +481,51 @@ func (v *vecIsDistinct) eval(rt *runtime, vb *vecBatch, sel []int) (*vec.Col, er
 		return nil, err
 	}
 	out := vec.NewCol(sqltypes.KindBool, len(vb.rows))
+	if same := sameTyped(lc, rc); same != nil {
+		for _, i := range sel {
+			ln, rn := lc.Nulls.Get(i), rc.Nulls.Get(i)
+			eq := ln == rn
+			if !ln && !rn {
+				eq = same(i)
+			}
+			out.B[i] = eq == v.neg
+		}
+		vb.kernelRows += int64(len(sel))
+		return out, nil
+	}
 	for _, i := range sel {
 		same := sqltypes.NotDistinct(lc.Value(i), rc.Value(i))
 		out.Set(i, sqltypes.NewBool(same == v.neg))
 	}
-	vb.kernelRows += int64(len(sel))
+	vb.fallbackRows += int64(len(sel))
 	return out, nil
 }
 
-// vecCast converts element-wise; errors stay unwrapped exactly like the
-// row evaluator's Cast case.
+// sameTyped returns an equality test over the non-NULL rows of two
+// unboxed columns of one kind, agreeing with sqltypes.Compare(...) == 0,
+// or nil when the columns need the boxed path. DOUBLEs are equal when
+// neither orders before the other, as in Compare (so NaN equals
+// everything, exactly like the row engine).
+func sameTyped(a, b *vec.Col) func(int) bool {
+	if a.Boxed() || b.Boxed() || a.Kind != b.Kind {
+		return nil
+	}
+	switch a.Kind {
+	case sqltypes.KindBool:
+		return func(i int) bool { return a.B[i] == b.B[i] }
+	case sqltypes.KindInt, sqltypes.KindDate:
+		return func(i int) bool { return a.I[i] == b.I[i] }
+	case sqltypes.KindFloat:
+		return func(i int) bool { return !(a.F[i] < b.F[i]) && !(a.F[i] > b.F[i]) }
+	case sqltypes.KindString:
+		return func(i int) bool { return a.S[i] == b.S[i] }
+	}
+	return nil
+}
+
+// vecCast converts element-wise through sqltypes.Cast, a boxed loop
+// counted as fallback; errors stay unwrapped exactly like the row
+// evaluator's Cast case.
 type vecCast struct {
 	x    vecExpr
 	kind sqltypes.Kind
@@ -443,7 +544,7 @@ func (v *vecCast) eval(rt *runtime, vb *vecBatch, sel []int) (*vec.Col, error) {
 		}
 		out.Set(i, res)
 	}
-	vb.kernelRows += int64(len(sel))
+	vb.fallbackRows += int64(len(sel))
 	return out, nil
 }
 
@@ -474,7 +575,7 @@ func (v *vecFallback) eval(rt *runtime, vb *vecBatch, sel []int) (*vec.Col, erro
 // the serial and morsel-parallel row paths).
 func (rt *runtime) runFilterVec(n *plan.Filter, in []Row) ([]Row, error) {
 	kinds := schemaKinds(n.Input.Schema())
-	ve := rt.pipelineFilter(n, len(kinds))
+	ve := rt.sh.pipe.filterExpr(n, len(kinds))
 	keep := make([]bool, len(in))
 	process := func(w *runtime, lo, hi int) error {
 		for blo := lo; blo < hi; blo += vec.BatchRows {
@@ -482,14 +583,14 @@ func (rt *runtime) runFilterVec(n *plan.Filter, in []Row) ([]Row, error) {
 			if err := w.tickBatch(bhi - blo); err != nil {
 				return err
 			}
-			vb := w.getBatchShared(n.Input, blo, in[blo:bhi], kinds)
+			vb := w.getBatch(n.Input, in[blo:bhi], kinds)
 			sel := batchIota[:bhi-blo]
 			c, err := ve.eval(w, vb, sel)
 			if err != nil {
 				return err
 			}
 			for _, i := range sel {
-				keep[blo+i] = c.Value(i).IsTrue()
+				keep[blo+i] = c.True(i)
 			}
 			w.noteBatch(n, vb)
 			w.putBatch(vb)
@@ -520,7 +621,7 @@ func (rt *runtime) runFilterVec(n *plan.Filter, in []Row) ([]Row, error) {
 // expression over the batch, then reassemble rows.
 func (rt *runtime) runProjectVec(n *plan.Project, in []Row) ([]Row, error) {
 	kinds := schemaKinds(n.Input.Schema())
-	ves := rt.pipelineProject(n, len(kinds))
+	ves := rt.sh.pipe.projectExprs(n, len(kinds))
 	out := make([]Row, len(in))
 	process := func(w *runtime, lo, hi int) error {
 		cols := make([]*vec.Col, len(ves))
@@ -529,7 +630,7 @@ func (rt *runtime) runProjectVec(n *plan.Project, in []Row) ([]Row, error) {
 			if err := w.tickBatch(bhi - blo); err != nil {
 				return err
 			}
-			vb := w.getBatchShared(n.Input, blo, in[blo:bhi], kinds)
+			vb := w.getBatch(n.Input, in[blo:bhi], kinds)
 			sel := batchIota[:bhi-blo]
 			for j, ve := range ves {
 				c, err := ve.eval(w, vb, sel)

@@ -88,7 +88,7 @@ func (rt *runtime) accumulateRowsVec(env *aggEnv, vea *vecAggExprs, tables []set
 		if err := rt.tickBatch(bn); err != nil {
 			return err
 		}
-		vb := rt.getBatchShared(n.Input, blo, in[blo:bhi], vea.kinds)
+		vb := rt.getBatch(n.Input, in[blo:bhi], vea.kinds)
 		sel := batchIota[:bn]
 		for j, g := range vea.groups {
 			c, err := g.eval(rt, vb, sel)
@@ -111,7 +111,7 @@ func (rt *runtime) accumulateRowsVec(env *aggEnv, vea *vecAggExprs, tables []set
 				filterCols[i] = fc
 				sub := make([]int, 0, bn)
 				for _, r := range sel {
-					if fc.Value(r).IsTrue() {
+					if fc.True(r) {
 						sub = append(sub, r)
 					}
 				}
@@ -164,7 +164,7 @@ func (env *aggEnv) accumulateVecRow(acc *groupAcc, r int, filterCols []*vec.Col,
 		if call.Name == "GROUPING" {
 			continue
 		}
-		if fc := filterCols[i]; fc != nil && !fc.Value(r).IsTrue() {
+		if fc := filterCols[i]; fc != nil && !fc.True(r) {
 			continue
 		}
 		args := argBufs[i]

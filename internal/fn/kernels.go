@@ -8,8 +8,8 @@ import (
 )
 
 // Batch kernels: typed column-at-a-time implementations of the hot
-// scalar operators (comparisons, int/float arithmetic, MOD), registered
-// per argument-kind signature. A kernel runs only when the executor has
+// scalar operators (comparisons, int/float arithmetic, MOD, date parts),
+// registered per argument-kind signature. A kernel runs only when the executor has
 // typed (non-boxed) columns whose kinds match the registered signature;
 // anything else goes through the generic boxed path or the row-at-a-time
 // fallback. Every kernel must agree bit-for-bit with the scalar operator
@@ -238,6 +238,66 @@ func modFloatKernel(args []*vec.Col, sel []int, out *vec.Col) error {
 	return nil
 }
 
+// civilMaxDays bounds the dates civil converts: within ±2^32 days of the
+// epoch (about ±11.7 million years) its arithmetic cannot overflow and
+// agrees with Value.Time(). Dates beyond it go through the scalar
+// itself, so the date-part kernels match it for every input.
+const civilMaxDays = 1 << 32
+
+// civil converts days since 1970-01-01 to a proleptic Gregorian year,
+// month (1-12) and day (1-31) without going through time.Time, after
+// Howard Hinnant's civil_from_days: shift to an era starting 0000-03-01
+// so the leap day ends the year, then split into 400-year eras, years
+// of the era, and March-based months.
+func civil(days int64) (year, month, day int64) {
+	z := days + 719468 // days from 0000-03-01 to 1970-01-01
+	era := z / 146097
+	if z < 0 && z%146097 != 0 {
+		era-- // floor division
+	}
+	doe := z - era*146097                                  // [0, 146096]
+	yoe := (doe - doe/1460 + doe/36524 - doe/146096) / 365 // [0, 399]
+	doy := doe - (365*yoe + yoe/4 - yoe/100)               // [0, 365]
+	mp := (5*doy + 2) / 153                                // [0, 11], March = 0
+	day = doy - (153*mp+2)/5 + 1
+	month = mp + 3
+	if month > 12 {
+		month -= 12
+	}
+	year = yoe + era*400
+	if month <= 2 {
+		year++
+	}
+	return year, month, day
+}
+
+// datePartKernel builds the DATE → INTEGER kernel of the datePart
+// scalar name (YEAR, MONTH, ...); part computes it from the day number
+// and its civil date.
+func datePartKernel(name string, part func(days, y, m, d int64) int64) Kernel {
+	return func(args []*vec.Col, sel []int, out *vec.Col) error {
+		a := args[0]
+		for _, i := range sel {
+			if a.Nulls.Get(i) {
+				out.Nulls.Set(i)
+				continue
+			}
+			days := a.I[i]
+			if days < -civilMaxDays || days > civilMaxDays {
+				v, err := MustLookupScalar(name).Eval([]sqltypes.Value{sqltypes.NewDateDays(days)})
+				if err != nil {
+					return err
+				}
+				out.I[i] = v.I
+				continue
+			}
+			y, m, d := civil(days)
+			out.I[i] = part(days, y, m, d)
+		}
+		return nil
+	}
+}
+
 func init() {
 	const (
 		kB = sqltypes.KindBool
@@ -300,6 +360,22 @@ func init() {
 		RegisterKernel("/", s, kF, divKernel)
 	}
 	RegisterKernel("%", sig(kI, kI), kI, modIntKernel)
+
+	// Date parts, mirroring registerDateFuncs. DAYOFWEEK: 1970-01-01 was
+	// a Thursday (Weekday 4), so the weekday is (days+4) mod 7, floored.
+	dateParts := []struct {
+		name string
+		part func(days, y, m, d int64) int64
+	}{
+		{"YEAR", func(_, y, _, _ int64) int64 { return y }},
+		{"MONTH", func(_, _, m, _ int64) int64 { return m }},
+		{"DAY", func(_, _, _, d int64) int64 { return d }},
+		{"QUARTER", func(_, _, m, _ int64) int64 { return (m-1)/3 + 1 }},
+		{"DAYOFWEEK", func(days, _, _, _ int64) int64 { return ((days+4)%7+7)%7 + 1 }},
+	}
+	for _, p := range dateParts {
+		RegisterKernel(p.name, []sqltypes.Kind{kD}, kI, datePartKernel(p.name, p.part))
+	}
 	for _, s := range [][]sqltypes.Kind{sig(kF, kF), sig(kI, kF), sig(kF, kI)} {
 		RegisterKernel("%", s, kF, modFloatKernel)
 	}

@@ -222,3 +222,48 @@ func TestKernelModMatchesScalar(t *testing.T) {
 		}
 	}
 }
+
+// TestDatePartKernelsSweep compares every date-part kernel with its
+// scalar on each day of the years 1149-2791 (every leap day, both
+// century rules and every year boundary in that span), on a sparse
+// sweep out to ±270 000 years, on both sides of the civil-arithmetic
+// bound, and at the extremes of the day range.
+func TestDatePartKernelsSweep(t *testing.T) {
+	var days []int64
+	for d := int64(-300_000); d <= 300_000; d++ {
+		days = append(days, d)
+	}
+	for d := int64(-100_000_000); d <= 100_000_000; d += 997 {
+		days = append(days, d)
+	}
+	for _, d := range []int64{civilMaxDays - 1, civilMaxDays, civilMaxDays + 1, math.MaxInt64 / 86400, math.MaxInt64} {
+		days = append(days, d, -d)
+	}
+	days = append(days, math.MinInt64)
+	col := vec.NewCol(sqltypes.KindDate, len(days))
+	sel := make([]int, len(days))
+	for i, d := range days {
+		col.I[i] = d
+		sel[i] = i
+	}
+	for _, name := range []string{"YEAR", "MONTH", "DAY", "QUARTER", "DAYOFWEEK"} {
+		kern, outKind, ok := LookupKernel(name, []sqltypes.Kind{sqltypes.KindDate})
+		if !ok || outKind != sqltypes.KindInt {
+			t.Fatalf("%s: no DATE -> INTEGER kernel", name)
+		}
+		out := vec.NewCol(sqltypes.KindInt, len(days))
+		if err := kern([]*vec.Col{col}, sel, out); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sc := MustLookupScalar(name)
+		for i, d := range days {
+			want, err := sc.Eval([]sqltypes.Value{sqltypes.NewDateDays(d)})
+			if err != nil {
+				t.Fatalf("%s(%d): scalar: %v", name, d, err)
+			}
+			if got := out.Value(i); got != want {
+				t.Fatalf("%s(%d days): kernel %v, scalar %v", name, d, got, want)
+			}
+		}
+	}
+}

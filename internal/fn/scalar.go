@@ -59,6 +59,28 @@ func retKind(k sqltypes.Kind) func([]sqltypes.Type) (sqltypes.Type, error) {
 	}
 }
 
+// retStringIntArgs is the Ret of a string function whose arguments
+// after the first are INTEGER positions or lengths.
+func retStringIntArgs(name string) func([]sqltypes.Type) (sqltypes.Type, error) {
+	return func(args []sqltypes.Type) (sqltypes.Type, error) {
+		for _, a := range args[1:] {
+			if err := requireInt(a, name); err != nil {
+				return sqltypes.Type{}, err
+			}
+		}
+		return sqltypes.Type{Kind: sqltypes.KindString}, nil
+	}
+}
+
+// requireInt rejects a non-INTEGER argument where a count, position or
+// offset is expected (an untyped NULL is accepted).
+func requireInt(a sqltypes.Type, name string) error {
+	if a.Kind != sqltypes.KindInt && a.Kind != sqltypes.KindUnknown {
+		return fmt.Errorf("%s: expected INTEGER argument, got %s", name, a)
+	}
+	return nil
+}
+
 func argNumeric(args []sqltypes.Type, name string) error {
 	for _, a := range args {
 		if !a.Kind.Numeric() && a.Kind != sqltypes.KindUnknown {

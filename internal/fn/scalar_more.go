@@ -176,7 +176,7 @@ func registerStringFuncs() {
 	})
 	register(&Scalar{
 		Name: "SUBSTRING", MinArgs: 2, MaxArgs: 3, Strict: true,
-		Ret: retKind(sqltypes.KindString),
+		Ret: retStringIntArgs("SUBSTRING"),
 		Eval: func(args []sqltypes.Value) (sqltypes.Value, error) {
 			runes := []rune(args[0].S)
 			start := int(args[1].I) - 1 // SQL is 1-based
@@ -225,7 +225,7 @@ func registerStringFuncs() {
 	})
 	register(&Scalar{
 		Name: "LEFT", MinArgs: 2, MaxArgs: 2, Strict: true,
-		Ret: retKind(sqltypes.KindString),
+		Ret: retStringIntArgs("LEFT"),
 		Eval: func(args []sqltypes.Value) (sqltypes.Value, error) {
 			runes := []rune(args[0].S)
 			n := int(args[1].I)
@@ -240,7 +240,7 @@ func registerStringFuncs() {
 	})
 	register(&Scalar{
 		Name: "RIGHT", MinArgs: 2, MaxArgs: 2, Strict: true,
-		Ret: retKind(sqltypes.KindString),
+		Ret: retStringIntArgs("RIGHT"),
 		Eval: func(args []sqltypes.Value) (sqltypes.Value, error) {
 			runes := []rune(args[0].S)
 			n := int(args[1].I)

@@ -31,10 +31,20 @@ func WindowRet(name string, args []sqltypes.Type) (sqltypes.Type, error) {
 		if len(args) > 1 {
 			return sqltypes.Type{}, fmt.Errorf("%s takes no arguments", name)
 		}
+		if len(args) == 1 {
+			if err := requireInt(args[0], name); err != nil {
+				return sqltypes.Type{}, err
+			}
+		}
 		return sqltypes.Type{Kind: sqltypes.KindInt}, nil
 	case "LAG", "LEAD":
 		if len(args) < 1 || len(args) > 3 {
 			return sqltypes.Type{}, fmt.Errorf("%s expects 1 to 3 arguments", name)
+		}
+		if len(args) >= 2 {
+			if err := requireInt(args[1], name); err != nil {
+				return sqltypes.Type{}, err
+			}
 		}
 		return args[0].Scalar(), nil
 	case "FIRST_VALUE", "LAST_VALUE":

@@ -42,9 +42,10 @@ type OpMetrics struct {
 	// Batches counts columnar batches the operator processed on the
 	// vectorized path (0 on the row path — rendering keys off it).
 	Batches int64
-	// KernelEvals counts expression-node evaluations done by batch
-	// kernels; FallbackEvals counts rows handed back to the row-at-a-time
-	// evaluator for expressions without a kernel.
+	// KernelEvals counts rows that expression nodes processed in typed
+	// loops over unboxed columns; FallbackEvals counts rows processed one
+	// boxed value at a time (the row evaluator, CAST, and the boxed loops
+	// taken when a node's inputs are boxed). See exec.Stats.
 	KernelEvals   int64
 	FallbackEvals int64
 }

@@ -12,13 +12,14 @@ import (
 //
 // Dates are stored in I as days since 1970-01-01 (proleptic Gregorian,
 // UTC); this makes date comparison and grouping cheap while YEAR/MONTH
-// etc. convert through time.Time on demand.
+// etc. convert through time.Time on demand. Doubles are stored in I as
+// their IEEE-754 bit pattern (read them with Float), which keeps a Value
+// at 32 bytes: the row store holds one per cell.
 type Value struct {
 	K    Kind
 	Null bool
 	B    bool
 	I    int64
-	F    float64
 	S    string
 }
 
@@ -34,7 +35,7 @@ func NewBool(b bool) Value { return Value{K: KindBool, B: b} }
 func NewInt(i int64) Value { return Value{K: KindInt, I: i} }
 
 // NewFloat returns a DOUBLE value.
-func NewFloat(f float64) Value { return Value{K: KindFloat, F: f} }
+func NewFloat(f float64) Value { return Value{K: KindFloat, I: int64(math.Float64bits(f))} }
 
 // NewString returns a VARCHAR value.
 func NewString(s string) Value { return Value{K: KindString, S: s} }
@@ -69,12 +70,15 @@ func (v Value) IsTrue() bool { return v.K == KindBool && !v.Null && v.B }
 // IsFalse reports whether v is a non-null FALSE boolean.
 func (v Value) IsFalse() bool { return v.K == KindBool && !v.Null && !v.B }
 
+// Float returns a DOUBLE value's float64. Only valid for DOUBLE values.
+func (v Value) Float() float64 { return math.Float64frombits(uint64(v.I)) }
+
 // AsFloat returns the numeric value as float64. Valid for INT and FLOAT.
 func (v Value) AsFloat() float64 {
 	if v.K == KindInt {
 		return float64(v.I)
 	}
-	return v.F
+	return v.Float()
 }
 
 // String renders the value in SQL literal style; NULL renders as "NULL".
@@ -91,7 +95,7 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.I, 10)
 	case KindFloat:
-		return formatFloat(v.F)
+		return formatFloat(v.Float())
 	case KindString:
 		return v.S
 	case KindDate:

@@ -115,8 +115,8 @@ func coerce(v sqltypes.Value, kind sqltypes.Kind) (sqltypes.Value, error) {
 		kind == sqltypes.KindDate && v.K == sqltypes.KindString:
 		return sqltypes.Cast(v, kind)
 	case kind == sqltypes.KindInt && v.K == sqltypes.KindFloat:
-		if v.F == float64(int64(v.F)) {
-			return sqltypes.NewInt(int64(v.F)), nil
+		if v.Float() == float64(int64(v.Float())) {
+			return sqltypes.NewInt(int64(v.Float())), nil
 		}
 		return sqltypes.Value{}, fmt.Errorf("cannot insert non-integral %v into INTEGER column", v)
 	default:

@@ -27,7 +27,7 @@ func TestInsertAndScan(t *testing.T) {
 		t.Fatalf("rows=%d", len(rows))
 	}
 	// INT 2 coerced to FLOAT in column b; string coerced to DATE.
-	if rows[0][1].K != sqltypes.KindFloat || rows[0][1].F != 2 {
+	if rows[0][1].K != sqltypes.KindFloat || rows[0][1].Float() != 2 {
 		t.Errorf("coercion to float failed: %v", rows[0][1])
 	}
 	if rows[0][2].K != sqltypes.KindDate || rows[0][2].String() != "2024-01-01" {

@@ -146,10 +146,67 @@ func (c *Col) Set(i int, v sqltypes.Value) {
 	case sqltypes.KindInt, sqltypes.KindDate:
 		c.I[i] = v.I
 	case sqltypes.KindFloat:
-		c.F[i] = v.F
+		c.F[i] = v.Float()
 	case sqltypes.KindString:
 		c.S[i] = v.S
 	}
+}
+
+// Fill stores v at every selected row, with Set's promote-on-misfit
+// rule: a value that does not fit the typed representation promotes the
+// column once, and the boxed rows then hold v verbatim.
+func (c *Col) Fill(sel []int, v sqltypes.Value) {
+	if c.boxed == nil && !c.fits(v) {
+		c.promote()
+	}
+	switch {
+	case c.boxed != nil:
+		for _, i := range sel {
+			c.boxed[i] = v
+		}
+	case v.Null:
+		for _, i := range sel {
+			c.Nulls.Set(i)
+		}
+	case c.Kind == sqltypes.KindBool:
+		for _, i := range sel {
+			c.B[i] = v.B
+		}
+	case c.Kind == sqltypes.KindInt, c.Kind == sqltypes.KindDate:
+		for _, i := range sel {
+			c.I[i] = v.I
+		}
+	case c.Kind == sqltypes.KindFloat:
+		for _, i := range sel {
+			c.F[i] = v.Float()
+		}
+	case c.Kind == sqltypes.KindString:
+		for _, i := range sel {
+			c.S[i] = v.S
+		}
+	}
+}
+
+// Typed reports whether the column holds unboxed values of kind k, so a
+// typed loop may read its k-slice and null bitmap directly.
+func (c *Col) Typed(k sqltypes.Kind) bool { return c.boxed == nil && c.Kind == k }
+
+// True reports whether row i is a non-NULL TRUE, exactly as
+// Value(i).IsTrue() would, without boxing a typed row.
+func (c *Col) True(i int) bool {
+	if c.boxed != nil {
+		return c.boxed[i].IsTrue()
+	}
+	return c.Kind == sqltypes.KindBool && !c.Nulls.Get(i) && c.B[i]
+}
+
+// False reports whether row i is a non-NULL FALSE, exactly as
+// Value(i).IsFalse() would, without boxing a typed row.
+func (c *Col) False(i int) bool {
+	if c.boxed != nil {
+		return c.boxed[i].IsFalse()
+	}
+	return c.Kind == sqltypes.KindBool && !c.Nulls.Get(i) && !c.B[i]
 }
 
 // promote switches the column to the boxed representation, boxing the
@@ -196,7 +253,7 @@ func BuildCol(rows [][]sqltypes.Value, idx int, kind sqltypes.Kind) *Col {
 		case sqltypes.KindInt, sqltypes.KindDate:
 			c.I[r] = v.I
 		case sqltypes.KindFloat:
-			c.F[r] = v.F
+			c.F[r] = v.Float()
 		case sqltypes.KindString:
 			c.S[r] = v.S
 		}

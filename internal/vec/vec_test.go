@@ -118,3 +118,31 @@ func TestBatchFromRows(t *testing.T) {
 		}
 	}
 }
+
+// TestColFill: Fill writes only the selected rows; a typed NULL stays
+// typed, and a value of another kind promotes the column like Set.
+func TestColFill(t *testing.T) {
+	c := NewCol(sqltypes.KindInt, 4)
+	c.Fill([]int{1, 3}, sqltypes.NewInt(7))
+	if c.Boxed() || c.Value(1) != sqltypes.NewInt(7) || c.Value(3) != sqltypes.NewInt(7) || c.Value(0) != sqltypes.NewInt(0) {
+		t.Fatalf("typed fill: %v %v %v", c.Value(0), c.Value(1), c.Value(3))
+	}
+	c.Fill([]int{0}, sqltypes.Null(sqltypes.KindInt))
+	if c.Boxed() || c.Value(0) != sqltypes.Null(sqltypes.KindInt) {
+		t.Fatalf("typed NULL fill: boxed=%v %#v", c.Boxed(), c.Value(0))
+	}
+	c.Fill([]int{2}, sqltypes.Null(sqltypes.KindUnknown))
+	if !c.Boxed() || c.Value(2) != sqltypes.Null(sqltypes.KindUnknown) || c.Value(1) != sqltypes.NewInt(7) {
+		t.Fatalf("misfit fill must promote and keep earlier rows: %#v %#v", c.Value(2), c.Value(1))
+	}
+	if c.True(1) || c.False(1) || !oneRowCol(sqltypes.NewBool(false)).False(0) {
+		t.Fatal("True/False must match Value.IsTrue/IsFalse")
+	}
+}
+
+// oneRowCol is a one-row column holding v.
+func oneRowCol(v sqltypes.Value) *Col {
+	c := NewCol(v.K, 1)
+	c.Set(0, v)
+	return c
+}

@@ -15,12 +15,14 @@ package msql_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
 	"testing"
 
 	"github.com/measures-sql/msql/internal/qgen"
+	"github.com/measures-sql/msql/internal/sqltypes"
 	"github.com/measures-sql/msql/msql"
 )
 
@@ -77,19 +79,34 @@ func diffVariants() []variant {
 	}
 }
 
-func flattenRows(res *msql.Result) []string {
-	rows := rowsAsStrings(res)
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = strings.Join(r, "|")
+// exactRows renders a result for bit-exact comparison, in the spirit of
+// perfbench's canonical answers: every cell carries its value kind, a
+// NULL is tagged as such, a float is its IEEE-754 bit pattern, and any
+// other value goes through the standard value renderer. Two results
+// agree only when kinds, NULL-ness and every bit of every value do.
+func exactRows(res *msql.Result) []string {
+	out := make([]string, len(res.Rows))
+	for i, row := range res.Rows {
+		cells := make([]string, len(row))
+		for j, v := range row {
+			switch {
+			case v.Null:
+				cells[j] = fmt.Sprintf("%d:NULL", v.K)
+			case v.K == sqltypes.KindFloat:
+				cells[j] = fmt.Sprintf("%d:%016x", v.K, math.Float64bits(v.Float()))
+			default:
+				cells[j] = fmt.Sprintf("%d:%s", v.K, v.String())
+			}
+		}
+		out[i] = strings.Join(cells, "|")
 	}
 	return out
 }
 
 // TestDifferentialRowVsVectorized is the harness. The oracle run is the
 // row engine at Workers=1 under the strategy being tested; each variant
-// must agree with it exactly (values after the shared 2-decimal float
-// rendering), including on whether the query errors at all.
+// must agree with it bit for bit (exactRows), including on whether the
+// query errors at all.
 func TestDifferentialRowVsVectorized(t *testing.T) {
 	const seed = 20240805
 	corpus := diffCorpusSize(t)
@@ -126,7 +143,7 @@ func TestDifferentialRowVsVectorized(t *testing.T) {
 					if oracleErr != nil {
 						continue
 					}
-					want, have := flattenRows(oracle), flattenRows(got)
+					want, have := exactRows(oracle), exactRows(got)
 					if len(want) != len(have) {
 						fail("%s row count: oracle=%d variant=%d", v.name, len(want), len(have))
 					}
@@ -200,7 +217,7 @@ func TestDifferentialPreparedVsDirect(t *testing.T) {
 						if oracleErr != nil {
 							continue
 						}
-						want, have := flattenRows(oracle), flattenRows(got)
+						want, have := exactRows(oracle), exactRows(got)
 						if len(want) != len(have) {
 							fail("%s run %d row count: oracle=%d prepared=%d", v.name, run, len(want), len(have))
 						}

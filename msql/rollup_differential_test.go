@@ -8,10 +8,9 @@ package msql_test
 // must agree bit for bit, including on whether a statement errors. The
 // lattice-off engine is the oracle.
 //
-// Comparison here is stricter than the vectorized harness's 2-decimal
-// float rendering: floats compare by their exact bit pattern (hex
-// FormatFloat), because the lattice's claim is bit-identity, not
-// tolerance — any query it cannot reproduce exactly must miss instead.
+// Comparison is bit-exact (exactRows, shared with the vectorized
+// harness): the lattice's claim is bit-identity, not tolerance — any
+// query it cannot reproduce exactly must miss instead.
 //
 // The schedule length scales with MSQL_DIFF_QUERIES but never drops
 // below 500 steps per configuration.
@@ -19,36 +18,11 @@ package msql_test
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
-	"strings"
 	"testing"
 
 	"github.com/measures-sql/msql/internal/qgen"
-	"github.com/measures-sql/msql/internal/sqltypes"
 	"github.com/measures-sql/msql/msql"
 )
-
-// exactRows renders a result for bit-exact comparison: floats as hex
-// bit patterns, NULLs tagged with their kind, everything else through
-// the standard value renderer.
-func exactRows(res *msql.Result) []string {
-	out := make([]string, len(res.Rows))
-	for i, row := range res.Rows {
-		cells := make([]string, len(row))
-		for j, v := range row {
-			switch {
-			case v.Null:
-				cells[j] = fmt.Sprintf("NULL:%d", v.K)
-			case v.K == sqltypes.KindFloat:
-				cells[j] = strconv.FormatFloat(v.AsFloat(), 'x', -1, 64)
-			default:
-				cells[j] = v.String()
-			}
-		}
-		out[i] = strings.Join(cells, "|")
-	}
-	return out
-}
 
 func rollupScheduleSteps(t testing.TB) int {
 	steps := 2 * diffCorpusSize(t)
