@@ -17,6 +17,11 @@ type counters struct {
 	failovers    atomic.Int64
 	breakerOpens atomic.Int64
 	shardErrors  atomic.Int64
+	// Per-path query counts (see queryText).
+	routedQueries  atomic.Int64
+	scatterQueries atomic.Int64
+	gatherQueries  atomic.Int64
+	localQueries   atomic.Int64
 }
 
 // shardCounters snapshots the counters plus the live topology state.
@@ -38,6 +43,11 @@ func (c *Coordinator) shardCounters() msql.ShardCounters {
 		ShardErrors:  c.metrics.shardErrors.Load(),
 		ShardsTotal:  int64(len(c.shards)),
 		BreakersOpen: open,
+
+		RoutedQueries:  c.metrics.routedQueries.Load(),
+		ScatterQueries: c.metrics.scatterQueries.Load(),
+		GatherQueries:  c.metrics.gatherQueries.Load(),
+		LocalQueries:   c.metrics.localQueries.Load(),
 	}
 }
 

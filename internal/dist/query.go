@@ -97,16 +97,20 @@ func (c *Coordinator) queryText(ctx context.Context, sql, reqID string) (*msql.R
 	}
 	sharded := c.scanShardTables(node)
 	if len(sharded) == 0 {
+		c.metrics.localQueries.Add(1)
 		return c.local.QueryContext(ctx, sql)
 	}
 	if q, err := parser.ParseQuery(sql); err == nil {
 		if idx, ok := c.routeSingle(q); ok {
+			c.metrics.routedQueries.Add(1)
 			return c.routed(ctx, idx, sql, reqID)
 		}
 	}
 	if res, handled, err := c.scatter(ctx, sql, node, reqID); handled {
+		c.metrics.scatterQueries.Add(1)
 		return res, err
 	}
+	c.metrics.gatherQueries.Add(1)
 	return c.gather(ctx, sql, sharded, reqID)
 }
 

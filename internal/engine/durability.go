@@ -61,7 +61,6 @@ func NewDurable(dir string, opts wal.Options) (*Session, error) {
 	// plans can never match the recovered catalog.
 	s.cat.RestoreVersion(dump.Version)
 	s.dur = &durability{wal: m}
-	s.metrics.SetStorageSource(func() StorageCounters { return storageCounters(m) })
 	return s, nil
 }
 
@@ -195,26 +194,6 @@ func (s *Session) CloseDurability() error {
 		return nil
 	}
 	return s.dur.wal.Close()
-}
-
-// storageCounters adapts a WAL manager's stats to the metrics section.
-func storageCounters(m *wal.Manager) StorageCounters {
-	st := m.StatsSnapshot()
-	return StorageCounters{
-		WALAppends:       st.Appends,
-		WALAppendBytes:   st.AppendBytes,
-		WALFsyncs:        st.Fsyncs,
-		WALBytes:         st.WALBytes,
-		WALSeq:           st.Seq,
-		WALDurableSeq:    st.DurableSeq,
-		Checkpoints:      st.Checkpoints,
-		CheckpointNs:     st.CheckpointNs,
-		LastCheckpointNs: st.LastCheckpointNs,
-		RecoveryNs:       st.RecoveryNs,
-		RecoveredRecords: st.RecoveredRecords,
-		TornTailBytes:    st.TornTailBytes,
-		SyncPolicy:       m.Policy().String(),
-	}
 }
 
 // insertRecord builds the WAL record for an INSERT of already-coerced

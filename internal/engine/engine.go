@@ -45,10 +45,12 @@ type Result struct {
 type Session struct {
 	cat *catalog.Catalog
 	// mu guards exec, opt, and strategy against concurrent mutation.
-	mu        sync.Mutex
-	exec      *exec.Settings
-	opt       optimizer.Options
-	lastStats exec.Stats
+	mu   sync.Mutex
+	exec *exec.Settings
+	opt  optimizer.Options
+	// lastStats points at the executor counters of the most recently
+	// started statement; every statement counts into its own.
+	lastStats atomic.Pointer[exec.Stats]
 	metrics   *Metrics
 	tracer    exec.Tracer
 	// strategy labels the per-strategy metrics buckets; SetStrategy in
@@ -175,13 +177,34 @@ func (s *Session) Update(fn func(ex *exec.Settings, opt *optimizer.Options)) {
 	fn(s.exec, &s.opt)
 }
 
-// LastStats returns the executor counters of the most recent query. The
-// copy is taken with atomic loads, so it is safe even while another
-// goroutine's query is updating the counters.
-func (s *Session) LastStats() exec.Stats { return s.lastStats.Snapshot() }
+// LastStats returns the executor counters of the most recently started
+// query, live while it runs. The copy is taken with atomic loads, so it
+// is safe even while the query's workers are updating the counters.
+func (s *Session) LastStats() exec.Stats {
+	if st := s.lastStats.Load(); st != nil {
+		return st.Snapshot()
+	}
+	return exec.Stats{}
+}
 
 // Metrics returns the session's cumulative metrics registry.
 func (s *Session) Metrics() *Metrics { return s.metrics }
+
+// MetricsSnapshot returns the registry's counters together with the
+// session's own plan cache, WAL and rollup lattice sections.
+func (s *Session) MetricsSnapshot() MetricsSnapshot {
+	snap := s.metrics.snapshot()
+	snap.PlanCache = s.plans.counters()
+	if s.dur != nil {
+		st := s.dur.wal.StatsSnapshot()
+		snap.Storage = &st
+	}
+	if l := s.rollups.Load(); l != nil {
+		rc := l.Stats()
+		snap.Rollups = &rc
+	}
+	return snap
+}
 
 // SetTracer installs (or with nil removes) a lifecycle tracer.
 func (s *Session) SetTracer(t exec.Tracer) { s.tracer = t }
@@ -206,7 +229,6 @@ func New() *Session {
 		stmts:    newStatementStats(),
 		queries:  newQueryRegistry(),
 	}
-	s.metrics.SetPlanCacheSource(s.plans.counters)
 	s.registerSystemTables()
 	return s
 }
@@ -612,15 +634,16 @@ func (env *stmtEnv) emitExpandSpans(n plan.Node) {
 	}
 }
 
-// execPlan runs an optimized plan with this session's settings: Stats
-// are reset and collected into lastStats, the metrics registry is
-// updated, and when withProfile is set (EXPLAIN ANALYZE) or a tracer is
-// installed, per-operator metrics are collected too.
-func (s *Session) execPlan(env *stmtEnv, node plan.Node, planNs int64, withProfile bool) ([][]sqltypes.Value, *exec.Profile, error) {
+// execPlan runs an optimized plan with this session's settings: the
+// statement counts into its own Stats (published for LastStats), the
+// metrics registry is updated, and when withProfile is set (EXPLAIN
+// ANALYZE) or a tracer is installed, per-operator metrics are collected
+// too. It returns the statement's final counters.
+func (s *Session) execPlan(env *stmtEnv, node plan.Node, planNs int64, withProfile bool) ([][]sqltypes.Value, *exec.Profile, exec.Stats, error) {
 	env.live.setPhase(phaseExecute)
-	s.lastStats.Reset()
 	settings := env.cfg.exec
-	settings.Stats = &s.lastStats
+	settings.Stats = new(exec.Stats)
+	s.lastStats.Store(settings.Stats)
 	var prof *exec.Profile
 	if withProfile || env.tracer != nil {
 		prof = exec.NewProfile(node)
@@ -634,9 +657,9 @@ func (s *Session) execPlan(env *stmtEnv, node plan.Node, planNs int64, withProfi
 	if err != nil {
 		env.span(exec.Span{Phase: "execute", Name: "query", DurNs: execNs,
 			Attrs: map[string]string{"error": err.Error()}})
-		return nil, nil, err
+		return nil, nil, exec.Stats{}, err
 	}
-	st := s.lastStats.Snapshot()
+	st := settings.Stats.Snapshot()
 	s.metrics.recordQuery(env.cfg.strategy, len(rows), st, planNs, execNs)
 	if e := env.stats; e != nil {
 		e.rows.Add(int64(len(rows)))
@@ -666,7 +689,18 @@ func (s *Session) execPlan(env *stmtEnv, node plan.Node, planNs int64, withProfi
 	if prof != nil && env.tracer != nil {
 		exec.PlanSpans(node, prof, env.tracer)
 	}
-	return rows, prof, nil
+	return rows, prof, st, nil
+}
+
+// totalsLine renders the EXPLAIN ANALYZE footer for one execution.
+func totalsLine(rows int, st exec.Stats) string {
+	totals := fmt.Sprintf("Totals: rows=%d scanned=%d evals=%d hits=%d fanouts=%d",
+		rows, st.RowsScanned, st.SubqueryEvals, st.SubqueryCacheHits, st.ParallelFanouts)
+	if st.VecBatches > 0 {
+		totals += fmt.Sprintf(" batches=%d kernel=%d fallback=%d",
+			st.VecBatches, st.VecKernelRows, st.VecFallbackRows)
+	}
+	return totals + "\n"
 }
 
 func (s *Session) runQuery(env *stmtEnv, q *ast.Query) (*Result, error) {
@@ -674,7 +708,7 @@ func (s *Session) runQuery(env *stmtEnv, q *ast.Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, _, err := s.execPlan(env, node, planNs, false)
+	rows, _, _, err := s.execPlan(env, node, planNs, false)
 	if err != nil {
 		return nil, err
 	}
@@ -700,19 +734,11 @@ func (s *Session) explainAnalyze(env *stmtEnv, q *ast.Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, prof, err := s.execPlan(env, node, planNs, true)
+	rows, prof, st, err := s.execPlan(env, node, planNs, true)
 	if err != nil {
 		return nil, err
 	}
-	st := s.lastStats.Snapshot()
-	totals := fmt.Sprintf("Totals: rows=%d scanned=%d evals=%d hits=%d fanouts=%d",
-		len(rows), st.RowsScanned, st.SubqueryEvals, st.SubqueryCacheHits, st.ParallelFanouts)
-	if st.VecBatches > 0 {
-		totals += fmt.Sprintf(" batches=%d kernel=%d fallback=%d",
-			st.VecBatches, st.VecKernelRows, st.VecFallbackRows)
-	}
-	msg := plan.ExplainAnalyzeTree(node, prof) + totals + "\n"
-	return &Result{Message: msg}, nil
+	return &Result{Message: plan.ExplainAnalyzeTree(node, prof) + totalsLine(len(rows), st)}, nil
 }
 
 func (s *Session) execCreateTable(stmt *ast.CreateTable) (*Result, error) {

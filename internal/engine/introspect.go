@@ -12,9 +12,7 @@
 package engine
 
 import (
-	"encoding/json"
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/measures-sql/msql/internal/catalog"
@@ -126,18 +124,22 @@ func (s *Session) registerSystemTables() {
 		Cols:      []string{"name", "value"},
 		Types:     []sqltypes.Type{strT, floatT},
 		Provider: func() [][]sqltypes.Value {
-			flat := flattenMetrics(s.metrics.Snapshot())
-			names := make([]string, 0, len(flat))
-			for k := range flat {
-				names = append(names, k)
+			var rows [][]sqltypes.Value
+			add := func(name string, v float64) {
+				rows = append(rows, []sqltypes.Value{sqltypes.NewString(name), sqltypes.NewFloat(v)})
 			}
-			sort.Strings(names)
-			rows := make([][]sqltypes.Value, 0, len(names))
-			for _, k := range names {
-				rows = append(rows, []sqltypes.Value{
-					sqltypes.NewString(k), sqltypes.NewFloat(flat[k]),
-				})
-			}
+			s.MetricsSnapshot().Each(func(sr Series) {
+				h := sr.Hist
+				if h == nil {
+					add(sr.Path, sr.Value)
+					return
+				}
+				add(sr.Path+".count", float64(h.Count))
+				add(sr.Path+".sum_ns", float64(h.SumNs))
+				add(sr.Path+".p50_ns", float64(h.P50Ns))
+				add(sr.Path+".p95_ns", float64(h.P95Ns))
+				add(sr.Path+".p99_ns", float64(h.P99Ns))
+			})
 			return rows
 		},
 	})
@@ -160,15 +162,15 @@ func (s *Session) registerSystemTables() {
 			if s.dur == nil {
 				return nil // in-memory session: no durability state to report
 			}
-			sc := storageCounters(s.dur.wal)
+			sc := s.dur.wal.StatsSnapshot()
 			return [][]sqltypes.Value{{
 				sqltypes.NewString(sc.SyncPolicy),
-				sqltypes.NewInt(sc.WALAppends),
-				sqltypes.NewInt(sc.WALAppendBytes),
-				sqltypes.NewInt(sc.WALFsyncs),
+				sqltypes.NewInt(sc.Appends),
+				sqltypes.NewInt(sc.AppendBytes),
+				sqltypes.NewInt(sc.Fsyncs),
 				sqltypes.NewInt(sc.WALBytes),
-				sqltypes.NewInt(sc.WALSeq),
-				sqltypes.NewInt(sc.WALDurableSeq),
+				sqltypes.NewInt(sc.Seq),
+				sqltypes.NewInt(sc.DurableSeq),
 				sqltypes.NewInt(sc.Checkpoints),
 				sqltypes.NewFloat(nsToMs(sc.CheckpointNs)),
 				sqltypes.NewFloat(nsToMs(sc.LastCheckpointNs)),
@@ -238,43 +240,4 @@ func (s *Session) registerSystemTables() {
 			}}
 		},
 	})
-}
-
-// flattenMetrics turns the nested metrics snapshot into dotted
-// name→value pairs (by_strategy.memo.queries, plan_cache.hits, ...) by
-// round-tripping through its JSON form, so new snapshot fields appear
-// in msql_stats.metrics without further wiring.
-func flattenMetrics(snap MetricsSnapshot) map[string]float64 {
-	raw, err := json.Marshal(snap)
-	if err != nil {
-		return nil
-	}
-	var tree any
-	if err := json.Unmarshal(raw, &tree); err != nil {
-		return nil
-	}
-	out := map[string]float64{}
-	flattenJSON("", tree, out)
-	return out
-}
-
-func flattenJSON(prefix string, v any, out map[string]float64) {
-	switch v := v.(type) {
-	case map[string]any:
-		for k, child := range v {
-			key := k
-			if prefix != "" {
-				key = prefix + "." + k
-			}
-			flattenJSON(key, child, out)
-		}
-	case float64:
-		out[prefix] = v
-	case bool:
-		if v {
-			out[prefix] = 1
-		} else {
-			out[prefix] = 0
-		}
-	}
 }

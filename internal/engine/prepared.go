@@ -275,7 +275,7 @@ func (s *Session) execPrepared(env *stmtEnv, p *Prepared, vals []sqltypes.Value)
 			return res, nil
 		}
 	}
-	rows, _, err := s.execPlan(env, entry.node, planNs, false)
+	rows, _, _, err := s.execPlan(env, entry.node, planNs, false)
 	if err != nil {
 		return nil, err
 	}
@@ -312,18 +312,11 @@ func (s *Session) explainExecute(env *stmtEnv, ex *ast.ExecuteStmt, analyze bool
 	env.cfg.exec.Params = vals
 	env.cfg.exec.Pipeline = entry.pipe
 	env.execAttrs = map[string]string{"cached": fmt.Sprintf("%t", cached), "cache_key": cacheKeyDigest(key)}
-	rows, prof, err := s.execPlan(env, entry.node, planNs, true)
+	rows, prof, st, err := s.execPlan(env, entry.node, planNs, true)
 	if err != nil {
 		return nil, err
 	}
-	st := s.lastStats.Snapshot()
-	totals := fmt.Sprintf("Totals: rows=%d scanned=%d evals=%d hits=%d fanouts=%d",
-		len(rows), st.RowsScanned, st.SubqueryEvals, st.SubqueryCacheHits, st.ParallelFanouts)
-	if st.VecBatches > 0 {
-		totals += fmt.Sprintf(" batches=%d kernel=%d fallback=%d",
-			st.VecBatches, st.VecKernelRows, st.VecFallbackRows)
-	}
-	msg := plan.ExplainAnalyzeTree(entry.node, prof) + totals + "\n" + cacheLine
+	msg := plan.ExplainAnalyzeTree(entry.node, prof) + totalsLine(len(rows), st) + cacheLine
 	return &Result{Message: msg}, nil
 }
 

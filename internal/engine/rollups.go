@@ -21,13 +21,11 @@ import (
 func (s *Session) SetRollups(on bool) {
 	if !on {
 		s.rollups.Store(nil)
-		s.metrics.SetRollupSource(nil)
 		s.Update(func(ex *exec.Settings, _ *optimizer.Options) { ex.Rollups = nil })
 		return
 	}
 	l := rollup.New()
 	s.rollups.Store(l)
-	s.metrics.SetRollupSource(func() RollupCounters { return rollupCounters(l.Stats()) })
 	s.Update(func(ex *exec.Settings, _ *optimizer.Options) { ex.Rollups = l })
 }
 
@@ -67,20 +65,5 @@ func (s *Session) rollupTruncate(table string) {
 func (s *Session) rollupDDL(table string) {
 	if l := s.rollups.Load(); l != nil {
 		l.NotifyDDL(table)
-	}
-}
-
-// rollupCounters adapts the lattice's counters to the metrics section.
-func rollupCounters(c rollup.Counters) RollupCounters {
-	return RollupCounters{
-		Hits:            c.Hits,
-		Misses:          c.Misses,
-		Builds:          c.Builds,
-		Rebuilds:        c.Rebuilds,
-		IncrementalRows: c.IncrementalRows,
-		Invalidations:   c.Invalidations,
-		Nodes:           c.Nodes,
-		Groups:          c.Groups,
-		DirtyGroups:     c.DirtyGroups,
 	}
 }

@@ -56,18 +56,17 @@ type Stats struct {
 	RollupHits int64
 }
 
-// Reset zeroes the counters with atomic stores, so a session may reuse
-// one Stats across queries even while other goroutines run queries that
-// update it.
-func (s *Stats) Reset() {
-	atomic.StoreInt64(&s.SubqueryEvals, 0)
-	atomic.StoreInt64(&s.SubqueryCacheHits, 0)
-	atomic.StoreInt64(&s.RowsScanned, 0)
-	atomic.StoreInt64(&s.ParallelFanouts, 0)
-	atomic.StoreInt64(&s.VecBatches, 0)
-	atomic.StoreInt64(&s.VecKernelRows, 0)
-	atomic.StoreInt64(&s.VecFallbackRows, 0)
-	atomic.StoreInt64(&s.RollupHits, 0)
+// Add folds o into s with atomic adds, so concurrent statements can
+// accumulate into one cumulative Stats.
+func (s *Stats) Add(o Stats) {
+	atomic.AddInt64(&s.SubqueryEvals, o.SubqueryEvals)
+	atomic.AddInt64(&s.SubqueryCacheHits, o.SubqueryCacheHits)
+	atomic.AddInt64(&s.RowsScanned, o.RowsScanned)
+	atomic.AddInt64(&s.ParallelFanouts, o.ParallelFanouts)
+	atomic.AddInt64(&s.VecBatches, o.VecBatches)
+	atomic.AddInt64(&s.VecKernelRows, o.VecKernelRows)
+	atomic.AddInt64(&s.VecFallbackRows, o.VecFallbackRows)
+	atomic.AddInt64(&s.RollupHits, o.RollupHits)
 }
 
 // Snapshot returns a copy taken with atomic loads, safe against

@@ -57,17 +57,18 @@ type counters struct {
 // dirty groups rebuilt lazily; IncrementalRows counts delta rows folded
 // into exactly-mergeable nodes in place; Invalidations counts truncate
 // resets and DDL drops. Nodes/Groups/DirtyGroups are point-in-time
-// gauges.
+// gauges. It is the rollups section of the engine's metrics snapshot:
+// each field declares its series in a metric tag (name, kind, help).
 type Counters struct {
-	Hits            int64 `json:"hits"`
-	Misses          int64 `json:"misses"`
-	Builds          int64 `json:"builds"`
-	Rebuilds        int64 `json:"rebuilds"`
-	IncrementalRows int64 `json:"incremental_rows"`
-	Invalidations   int64 `json:"invalidations"`
-	Nodes           int64 `json:"nodes"`
-	Groups          int64 `json:"groups"`
-	DirtyGroups     int64 `json:"dirty_groups"`
+	Hits            int64 `json:"hits" metric:"msql_rollup_hits_total,counter,Aggregate executions answered from the rollup lattice."`
+	Misses          int64 `json:"misses" metric:"msql_rollup_misses_total,counter,Lattice consultations that fell back to direct execution."`
+	Builds          int64 `json:"builds" metric:"msql_rollup_builds_total,counter,Rollup lattice nodes materialized."`
+	Rebuilds        int64 `json:"rebuilds" metric:"msql_rollup_rebuilds_total,counter,Dirty rollup groups rebuilt lazily from base rows."`
+	IncrementalRows int64 `json:"incremental_rows" metric:"msql_rollup_incremental_rows_total,counter,Insert delta rows folded into rollup states in place."`
+	Invalidations   int64 `json:"invalidations" metric:"msql_rollup_invalidations_total,counter,Rollup nodes reset by TRUNCATE or dropped by DDL."`
+	Nodes           int64 `json:"nodes" metric:"msql_rollup_nodes,gauge,Rollup lattice nodes currently materialized."`
+	Groups          int64 `json:"groups" metric:"msql_rollup_groups,gauge,Groups currently materialized across all rollup nodes."`
+	DirtyGroups     int64 `json:"dirty_groups" metric:"msql_rollup_dirty_groups,gauge,Materialized groups currently awaiting lazy rebuild."`
 }
 
 // NodeInfo describes one lattice node for introspection

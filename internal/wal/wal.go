@@ -68,30 +68,34 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Stats is a point-in-time copy of the manager's counters.
+// Stats is a point-in-time copy of the manager's counters. It is the
+// storage section of the engine's metrics snapshot: each numeric field
+// declares its series in a metric tag (name, kind, help).
 type Stats struct {
 	// Appends counts records appended; AppendBytes their framed size.
-	Appends     int64 `json:"appends"`
-	AppendBytes int64 `json:"append_bytes"`
+	Appends     int64 `json:"wal_appends" metric:"msql_wal_appends_total,counter,Records appended to the write-ahead log."`
+	AppendBytes int64 `json:"wal_append_bytes" metric:"msql_wal_append_bytes_total,counter,Framed bytes appended to the write-ahead log."`
 	// Fsyncs counts fsync syscalls on the log (group commit batches many
 	// appends into one).
-	Fsyncs int64 `json:"fsyncs"`
+	Fsyncs int64 `json:"wal_fsyncs" metric:"msql_wal_fsyncs_total,counter,Fsync syscalls on the log (group commit batches appends)."`
 	// Checkpoints counts completed checkpoints; LastCheckpointNs is the
 	// duration of the most recent one and CheckpointNs their sum.
-	Checkpoints      int64 `json:"checkpoints"`
-	CheckpointNs     int64 `json:"checkpoint_ns"`
-	LastCheckpointNs int64 `json:"last_checkpoint_ns"`
+	Checkpoints      int64 `json:"checkpoints" metric:"msql_checkpoints_total,counter,Checkpoint snapshots completed."`
+	CheckpointNs     int64 `json:"checkpoint_ns" metric:"msql_checkpoint_seconds_total,counter,Time spent writing checkpoints."`
+	LastCheckpointNs int64 `json:"last_checkpoint_ns" metric:"msql_last_checkpoint_seconds,gauge,Duration of the most recent checkpoint."`
 	// RecoveryNs is how long Open spent rebuilding the store;
 	// RecoveredRecords how many log records it replayed (post-snapshot);
 	// TornTailBytes how many trailing bytes it discarded as torn.
-	RecoveryNs       int64 `json:"recovery_ns"`
-	RecoveredRecords int64 `json:"recovered_records"`
-	TornTailBytes    int64 `json:"torn_tail_bytes"`
+	RecoveryNs       int64 `json:"recovery_ns" metric:"msql_recovery_seconds,gauge,Time the last crash recovery took."`
+	RecoveredRecords int64 `json:"recovered_records" metric:"msql_recovered_records_total,counter,Log records replayed by the last recovery."`
+	TornTailBytes    int64 `json:"torn_tail_bytes" metric:"msql_torn_tail_bytes_total,counter,Trailing log bytes discarded as torn by the last recovery."`
 	// Seq is the last assigned record sequence number; DurableSeq the
 	// last sequence known flushed to disk; WALBytes the current log size.
-	Seq        int64 `json:"seq"`
-	DurableSeq int64 `json:"durable_seq"`
-	WALBytes   int64 `json:"wal_bytes"`
+	Seq        int64 `json:"wal_seq" metric:"msql_wal_seq,gauge,Last assigned WAL sequence number."`
+	DurableSeq int64 `json:"wal_durable_seq" metric:"msql_wal_durable_seq,gauge,Last WAL sequence known flushed to disk."`
+	WALBytes   int64 `json:"wal_bytes" metric:"msql_wal_bytes,gauge,Current size of the write-ahead log."`
+	// SyncPolicy names the configured sync policy.
+	SyncPolicy string `json:"sync_policy"`
 }
 
 // Manager owns one data directory: the append-only log and its
@@ -165,6 +169,7 @@ func (m *Manager) StatsSnapshot() Stats {
 		Seq:              int64(seq),
 		DurableSeq:       int64(synced),
 		WALBytes:         size,
+		SyncPolicy:       m.opts.Sync.String(),
 	}
 }
 

@@ -124,7 +124,7 @@ func TestDurableObservability(t *testing.T) {
 		t.Fatalf("wal stats: %+v", st)
 	}
 	snap := db.Metrics()
-	if snap.Storage == nil || snap.Storage.WALAppends != 3 || snap.Storage.SyncPolicy != "always" {
+	if snap.Storage == nil || snap.Storage.Appends != 3 || snap.Storage.SyncPolicy != "always" {
 		t.Fatalf("metrics storage section: %+v", snap.Storage)
 	}
 	prom := snap.Prometheus()

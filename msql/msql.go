@@ -64,7 +64,8 @@ const (
 //
 // Concurrency contract: a DB is intended for sequential use — one
 // statement at a time — and concurrent queries on one DB share the
-// catalog and metrics without further guarantees about LastStats.
+// catalog and metrics; each counts its own executor stats, and
+// LastStats reports whichever started last.
 // Configuration is nonetheless mutation-safe: SetStrategy, SetWorkers,
 // and SetLimits take effect on the next statement, and every statement
 // snapshots its settings at start, so calling a setter while a query
@@ -388,9 +389,11 @@ func (db *DB) InsertRows(table string, rows [][]Value) error {
 // Stats holds executor counters for one query (see LastStats).
 type Stats = exec.Stats
 
-// LastStats returns executor counters for the most recent Query call:
-// subquery evaluations, memo-cache hits, rows scanned. Useful to verify
-// what a strategy actually did (EXPERIMENTS.md E12).
+// LastStats returns executor counters for the most recently started
+// Query call, live while it runs: subquery evaluations, memo-cache hits,
+// rows scanned. Each statement counts into its own Stats, so concurrent
+// statements never mix their counts. Useful to verify what a strategy
+// actually did (EXPERIMENTS.md E12).
 func (db *DB) LastStats() Stats { return db.session.LastStats() }
 
 // TraceSpan is one structured query-lifecycle event: parse, bind,
@@ -423,7 +426,7 @@ type MetricsSnapshot = engine.MetricsSnapshot
 // cache hit ratio, and per-strategy plan/exec timings. When a query
 // server has registered itself (RegisterServerMetrics), the snapshot
 // additionally carries its admission/drain counters.
-func (db *DB) Metrics() MetricsSnapshot { return db.session.Metrics().Snapshot() }
+func (db *DB) Metrics() MetricsSnapshot { return db.session.MetricsSnapshot() }
 
 // ServerCounters is the serving layer's slice of a metrics snapshot:
 // admission-control and drain counters published by a query server

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"github.com/measures-sql/msql/internal/exec"
+	"github.com/measures-sql/msql/internal/sqltypes"
 	"github.com/measures-sql/msql/msql"
 )
 
@@ -346,5 +347,49 @@ func TestLastStatsDuringQuery(t *testing.T) {
 	st := db.LastStats()
 	if st.SubqueryEvals != 7 || st.SubqueryCacheHits != 2 {
 		t.Errorf("final stats evals=%d hits=%d, want 7/2", st.SubqueryEvals, st.SubqueryCacheHits)
+	}
+}
+
+// TestConcurrentStatementsCountOwnStats: a statement that finishes
+// while another is running counts only its own executor work. One
+// EXPLAIN ANALYZE blocks inside a 2-row virtual-table scan while a
+// 5-row COUNT(*) runs to completion; the session metrics must grow by
+// exactly 7 scanned rows and each statement must report its own count.
+func TestConcurrentStatementsCountOwnStats(t *testing.T) {
+	db := msql.Open()
+	db.MustExec(`CREATE TABLE t (a INTEGER)`)
+	db.MustExec(`INSERT INTO t VALUES (1), (2), (3), (4), (5)`)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	intT := sqltypes.Type{Kind: sqltypes.KindInt}
+	if err := db.RegisterVirtualTable("blocker", []string{"x"}, []msql.Type{intT}, func() [][]msql.Value {
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+		return [][]msql.Value{{sqltypes.NewInt(1)}, {sqltypes.NewInt(2)}}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	before := db.Metrics().RowsScanned
+	explained := make(chan string, 1)
+	go func() {
+		msg, err := db.ExplainAnalyze(`SELECT x FROM blocker`)
+		if err != nil {
+			t.Error(err)
+		}
+		explained <- msg
+	}()
+	<-entered
+	db.MustQuery(`SELECT COUNT(*) AS n FROM t`)
+	if got := db.LastStats().RowsScanned; got != 5 {
+		t.Errorf("COUNT(*) LastStats scanned = %d, want 5", got)
+	}
+	close(release)
+	if msg := <-explained; !strings.Contains(msg, "Totals: rows=2 scanned=2 ") {
+		t.Errorf("blocked statement's totals count another statement's rows:\n%s", msg)
+	}
+	if got := db.Metrics().RowsScanned - before; got != 7 {
+		t.Errorf("msql_rows_scanned_total grew by %d, want 7 (2 + 5)", got)
 	}
 }
